@@ -1,6 +1,9 @@
 package cond
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // A CDCL (conflict-driven clause learning) satisfiability core replacing
 // the historical DPLL tree search of Satisfiable. The condition is Tseitin-
@@ -92,23 +95,34 @@ type cdcl struct {
 	store *lemmaStore
 	stats SolverStats
 
-	seen    []bool
-	clearV  []int32
-	explBuf []int32
+	seen     []bool
+	clearV   []int32
+	explBuf  []int32
+	learnBuf []lit
+
+	// arena backs every clause's literals; see newLits.
+	arena []lit
 }
+
+// cdclPool recycles solver state between decisions: a compile makes
+// thousands of small decisions, and reusing the slices, maps and clause
+// arena keeps them off the allocator.
+var cdclPool = sync.Pool{New: func() any { return &cdcl{eng: &enumEngine{}} }}
+
+// gateMapMax is the largest gate map a pooled solver keeps; a bigger one
+// is dropped rather than cleared bucket by bucket on every later reuse.
+const gateMapMax = 1024
 
 // satisfiableCDCL decides theory-satisfiability of x over its atom list.
 // store, when non-nil, supplies persisted lemmas for this (atoms, theory)
 // scope and receives the clauses learned here. stats, when non-nil,
 // receives the run's counters.
 func satisfiableCDCL(t Theory, x Expr, atoms []Atom, store *lemmaStore, stats *SolverStats) bool {
-	s := &cdcl{t: t, atoms: atoms, constVar: -1, store: store}
-	s.nAtoms = int32(len(atoms))
-	s.eng = newEnumEngine(t, atoms)
+	s := cdclPool.Get().(*cdcl)
+	s.reset(t, atoms, store)
 	for range atoms {
 		s.addVar()
 	}
-	s.gateOf = make(map[string]int32)
 
 	root := s.encode(x)
 	s.units = append(s.units, root)
@@ -119,7 +133,51 @@ func satisfiableCDCL(t Theory, x Expr, atoms []Atom, store *lemmaStore, stats *S
 	if stats != nil {
 		*stats = s.stats
 	}
+	s.release()
+	cdclPool.Put(s)
 	return sat
+}
+
+// reset prepares a pooled solver for a new decision, keeping its
+// allocations.
+func (s *cdcl) reset(t Theory, atoms []Atom, store *lemmaStore) {
+	s.t, s.atoms, s.store = t, atoms, store
+	s.nAtoms, s.nVars = int32(len(atoms)), 0
+	s.assigned, s.level, s.reason = s.assigned[:0], s.level[:0], s.reason[:0]
+	s.trail, s.trailLim, s.qhead = s.trail[:0], s.trailLim[:0], 0
+	s.clauses, s.watches, s.ckOf = s.clauses[:0], s.watches[:0], s.ckOf[:0]
+	if s.gateOf == nil || len(s.gateOf) > gateMapMax {
+		s.gateOf = make(map[string]int32)
+	} else {
+		clear(s.gateOf)
+	}
+	s.constVar = -1
+	s.units, s.unsat = s.units[:0], false
+	s.stats = SolverStats{}
+	s.arena = s.arena[:0]
+	s.eng.reset(t, atoms)
+}
+
+// release drops the references a pooled solver would otherwise keep alive:
+// the theory, the query's atoms and lemma store, and the clause slices,
+// which may point into arena chunks the solver has outgrown.
+func (s *cdcl) release() {
+	s.t, s.atoms, s.store = nil, nil, nil
+	s.eng.t, s.eng.atoms = nil, nil
+	clear(s.clauses)
+	clear(s.ckOf)
+}
+
+// newLits returns an empty literal slice of capacity n carved from the
+// solver's arena. A slice handed out before the arena grows keeps its old
+// chunk alive until the next reset.
+func (s *cdcl) newLits(n int) []lit {
+	if len(s.arena)+n > cap(s.arena) {
+		s.arena = make([]lit, 0, max(2*cap(s.arena), n+256))
+	}
+	at := len(s.arena)
+	s.arena = s.arena[:at+n]
+	return s.arena[at : at : at+n]
 }
 
 func (s *cdcl) addVar() int32 {
@@ -129,7 +187,13 @@ func (s *cdcl) addVar() int32 {
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, reasonNone)
 	s.ckOf = append(s.ckOf, "")
-	s.watches = append(s.watches, nil, nil)
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		// Reuse the watch lists a previous decision left behind.
+		s.watches = s.watches[:n+2]
+		s.watches[n], s.watches[n+1] = s.watches[n][:0], s.watches[n+1][:0]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	return v
 }
 
@@ -191,9 +255,9 @@ func (s *cdcl) encodeGate(ck string, children []Expr, isAnd bool) lit {
 			return mkLit(g, false)
 		}
 	}
-	cl := make([]lit, len(children))
-	for i, c := range children {
-		cl[i] = s.encode(c)
+	cl := s.newLits(len(children))
+	for _, c := range children {
+		cl = append(cl, s.encode(c))
 	}
 	g := s.addVar()
 	if ck != "" {
@@ -201,19 +265,19 @@ func (s *cdcl) encodeGate(ck string, children []Expr, isAnd bool) lit {
 		s.ckOf[g] = ck
 	}
 	glit := mkLit(g, false)
-	long := make([]lit, 1, len(cl)+1)
+	long := s.newLits(len(cl) + 1)
 	if isAnd {
 		// g ↔ c1 ∧ … ∧ ck: (¬g ∨ ci) each, (g ∨ ¬c1 ∨ … ∨ ¬ck).
-		long[0] = glit
+		long = append(long, glit)
 		for _, c := range cl {
-			s.addClause([]lit{glit.inv(), c}, true)
+			s.addClause(append(s.newLits(2), glit.inv(), c), true)
 			long = append(long, c.inv())
 		}
 	} else {
 		// g ↔ c1 ∨ … ∨ ck: (g ∨ ¬ci) each, (¬g ∨ c1 ∨ … ∨ ck).
-		long[0] = glit.inv()
+		long = append(long, glit.inv())
 		for _, c := range cl {
-			s.addClause([]lit{glit, c.inv()}, true)
+			s.addClause(append(s.newLits(2), glit, c.inv()), true)
 			long = append(long, c)
 		}
 	}
@@ -286,7 +350,7 @@ func (s *cdcl) enqueue(l lit, reason int32) int32 {
 // is monotone in the literal set), so it is learnable and persistable.
 func (s *cdcl) theoryConflict(i int) int32 {
 	s.explBuf = s.eng.conflictAtoms(i, s.explBuf[:0])
-	ls := make([]lit, 0, len(s.explBuf))
+	ls := s.newLits(len(s.explBuf))
 	for _, ai := range s.explBuf {
 		ls = append(ls, mkLit(ai, s.eng.vals[ai] == 1))
 	}
@@ -365,7 +429,7 @@ func (s *cdcl) analyze(confl int32) ([]lit, int) {
 	if len(s.seen) < int(s.nVars) {
 		s.seen = make([]bool, s.nVars)
 	}
-	learnt := []lit{litUndef}
+	learnt := append(s.learnBuf[:0], litUndef)
 	curLevel := int32(s.decisionLevel())
 	counter := 0
 	p := litUndef
@@ -417,7 +481,8 @@ func (s *cdcl) analyze(confl int32) ([]lit, int) {
 		s.seen[v] = false
 	}
 	s.clearV = s.clearV[:0]
-	return learnt, bl
+	s.learnBuf = learnt
+	return append(s.newLits(len(learnt)), learnt...), bl
 }
 
 // backjump undoes every assignment above the given level.

@@ -112,29 +112,55 @@ type enumEngine struct {
 	subjs  []eSubject
 	undo   []undoSlot
 
-	dom     map[string]domEntry
-	litsBuf []attrLit
-	cmpsBuf []attrLit
-	tlsBuf  []typeLit
+	dom      map[string]domEntry
+	subjIdx  map[string]int32 // subject name -> subjs index, -1 if untyped
+	groupIdx map[string]int32 // attribute -> groups index
+	litsBuf  []attrLit
+	cmpsBuf  []attrLit
+	tlsBuf   []typeLit
 }
 
 func newEnumEngine(t Theory, atoms []Atom) *enumEngine {
-	e := &enumEngine{
-		t:     t,
-		atoms: atoms,
-		vals:  make([]int8, len(atoms)),
-		ea:    make([]eAtom, len(atoms)),
-		undo:  make([]undoSlot, len(atoms)),
-		dom:   map[string]domEntry{},
+	e := &enumEngine{}
+	e.reset(t, atoms)
+	return e
+}
+
+// resized returns xs with length n and zeroed elements, reusing its
+// backing array when it is large enough.
+func resized[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
 	}
+	xs = xs[:n]
+	clear(xs)
+	return xs
+}
+
+// reset (re)builds the engine's index for a new atom list, reusing the
+// engine's allocations (the CDCL solver pools engines between decisions).
+func (e *enumEngine) reset(t Theory, atoms []Atom) {
+	e.t, e.atoms, e.asg = t, atoms, nil
+	e.vals = resized(e.vals, len(atoms))
+	e.ea = resized(e.ea, len(atoms))
+	e.undo = resized(e.undo, len(atoms))
 	for i := range e.vals {
 		e.vals[i] = -1
 	}
+	e.groups, e.subjs = e.groups[:0], e.subjs[:0]
+	e.litsBuf, e.cmpsBuf, e.tlsBuf = e.litsBuf[:0], e.cmpsBuf[:0], e.tlsBuf[:0]
+	if e.dom == nil {
+		e.dom = map[string]domEntry{}
+		e.subjIdx = map[string]int32{}
+		e.groupIdx = map[string]int32{}
+	} else {
+		clear(e.dom)
+		clear(e.subjIdx)
+		clear(e.groupIdx)
+	}
 
-	subjIdx := map[string]int32{}
-	groupIdx := map[string]int32{}
 	getSubj := func(name string) int32 {
-		if si, ok := subjIdx[name]; ok {
+		if si, ok := e.subjIdx[name]; ok {
 			return si
 		}
 		cands := t.ConcreteTypes(name)
@@ -148,17 +174,25 @@ func newEnumEngine(t Theory, atoms []Atom) *enumEngine {
 				s.fullMask = onesMask(len(cands))
 				s.candMask = s.fullMask
 			}
+			if int(si) < cap(e.subjs) {
+				// Keep the previous occupant's slices for reuse.
+				old := e.subjs[:si+1][si]
+				s.groups, s.typeMembers = old.groups[:0], old.typeMembers[:0]
+			}
 			e.subjs = append(e.subjs, s)
 		}
-		subjIdx[name] = si
+		e.subjIdx[name] = si
 		return si
 	}
 	getGroup := func(attr string, si int32) int32 {
-		if gi, ok := groupIdx[attr]; ok {
+		if gi, ok := e.groupIdx[attr]; ok {
 			return gi
 		}
 		gi := int32(len(e.groups))
 		g := eGroup{attr: attr, subj: si}
+		if int(gi) < cap(e.groups) {
+			g.members = e.groups[:gi+1][gi].members[:0]
+		}
 		g.info = e.attrInfo(attr)
 		if si >= 0 && e.subjs[si].slow {
 			// Slow subjects skip incremental mask state, but the group must
@@ -190,7 +224,7 @@ func newEnumEngine(t Theory, atoms []Atom) *enumEngine {
 			}
 		}
 		e.groups = append(e.groups, g)
-		groupIdx[attr] = gi
+		e.groupIdx[attr] = gi
 		return gi
 	}
 
@@ -246,7 +280,6 @@ func newEnumEngine(t Theory, atoms []Atom) *enumEngine {
 			g.allowed = e.groupAllowed(g)
 		}
 	}
-	return e
 }
 
 // boolEnum is the implicit two-value domain of boolean attributes.

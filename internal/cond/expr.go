@@ -199,7 +199,10 @@ func NotNull(attr string) Expr { return NewNot(Null{Attr: attr}) }
 // NewAnd builds a conjunction, flattening nested Ands and applying the
 // obvious True/False simplifications.
 func NewAnd(xs ...Expr) Expr {
-	var out []Expr
+	// The flattened children live on the stack unless the node is new:
+	// internAnd copies them into the node it creates.
+	var buf [16]Expr
+	out := buf[:0]
 	for _, x := range xs {
 		switch v := x.(type) {
 		case nil:
@@ -224,7 +227,8 @@ func NewAnd(xs ...Expr) Expr {
 // NewOr builds a disjunction, flattening nested Ors and applying the obvious
 // True/False simplifications.
 func NewOr(xs ...Expr) Expr {
-	var out []Expr
+	var buf [16]Expr
+	out := buf[:0]
 	for _, x := range xs {
 		switch v := x.(type) {
 		case nil:
@@ -415,15 +419,17 @@ func MapAtoms(x Expr, f func(Expr) Expr) Expr {
 	case *Not:
 		return NewNot(MapAtoms(v.X, f))
 	case *And:
-		out := make([]Expr, len(v.Xs))
-		for i, c := range v.Xs {
-			out[i] = MapAtoms(c, f)
+		var buf [16]Expr
+		out := buf[:0]
+		for _, c := range v.Xs {
+			out = append(out, MapAtoms(c, f))
 		}
 		return NewAnd(out...)
 	case *Or:
-		out := make([]Expr, len(v.Xs))
-		for i, c := range v.Xs {
-			out[i] = MapAtoms(c, f)
+		var buf [16]Expr
+		out := buf[:0]
+		for _, c := range v.Xs {
+			out = append(out, MapAtoms(c, f))
 		}
 		return NewOr(out...)
 	}

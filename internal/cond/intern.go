@@ -3,6 +3,7 @@ package cond
 import (
 	"crypto/sha256"
 	"encoding/base64"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -207,17 +208,26 @@ func contentRef(key string) string {
 // historical sequential intern ids, stable across processes and across
 // eviction/rebuild cycles), atoms their structural encoding.
 func internKeyOf(x Expr) string {
-	switch v := x.(type) {
-	case *Not:
-		return "@" + v.ck
-	case *And:
-		return "@" + v.ck
-	case *Or:
-		return "@" + v.ck
+	if ck, ok := contentAddr(x); ok {
+		return "@" + ck
 	}
 	var b strings.Builder
 	encodeAtomExpr(&b, x)
 	return b.String()
+}
+
+// contentAddr returns a composite's content address; ok is false for
+// atoms and constants.
+func contentAddr(x Expr) (ck string, ok bool) {
+	switch v := x.(type) {
+	case *Not:
+		return v.ck, true
+	case *And:
+		return v.ck, true
+	case *Or:
+		return v.ck, true
+	}
+	return "", false
 }
 
 // encodeAtomExpr writes the unambiguous prefix encoding of a non-composite
@@ -284,10 +294,7 @@ func intern(key string, mk func() Expr) Expr {
 const internEvictBatch = 64
 
 func internNot(x Expr) Expr {
-	var b strings.Builder
-	b.WriteByte('!')
-	b.WriteString(internKeyOf(x))
-	key := b.String()
+	key := "!" + internKeyOf(x)
 	return intern(key, func() Expr {
 		n := &Not{X: x, key: key, ck: contentRef(key)}
 		n.atoms = collectAtoms(n.X)
@@ -298,7 +305,7 @@ func internNot(x Expr) Expr {
 func internAnd(xs []Expr) Expr {
 	key := compositeKey('&', xs)
 	return intern(key, func() Expr {
-		n := &And{Xs: xs, key: key, ck: contentRef(key)}
+		n := &And{Xs: slices.Clone(xs), key: key, ck: contentRef(key)}
 		n.atoms = collectAtoms(n)
 		return n
 	})
@@ -307,19 +314,53 @@ func internAnd(xs []Expr) Expr {
 func internOr(xs []Expr) Expr {
 	key := compositeKey('|', xs)
 	return intern(key, func() Expr {
-		n := &Or{Xs: xs, key: key, ck: contentRef(key)}
+		n := &Or{Xs: slices.Clone(xs), key: key, ck: contentRef(key)}
 		n.atoms = collectAtoms(n)
 		return n
 	})
 }
 
+// compositeKey is tag, the child count and each child's length-prefixed
+// internKeyOf. The key is sized before it is written, so building it costs
+// one allocation plus one per atom child.
 func compositeKey(tag byte, xs []Expr) string {
-	var b strings.Builder
-	b.WriteByte(tag)
-	b.WriteString(strconv.Itoa(len(xs)))
-	b.WriteByte(':')
+	var refBuf [8]string
+	refs := refBuf[:0]
+	n := 2 + decLen(len(xs))
 	for _, x := range xs {
-		encStr(&b, internKeyOf(x))
+		ref, composite := contentAddr(x)
+		l := len(ref) + 1
+		if !composite {
+			ref = internKeyOf(x)
+			l = len(ref)
+		}
+		refs = append(refs, ref)
+		n += decLen(l) + 1 + l
+	}
+	var b strings.Builder
+	var num [20]byte
+	b.Grow(n)
+	b.WriteByte(tag)
+	b.Write(strconv.AppendInt(num[:0], int64(len(xs)), 10))
+	b.WriteByte(':')
+	for i, x := range xs {
+		if _, composite := contentAddr(x); composite {
+			b.Write(strconv.AppendInt(num[:0], int64(len(refs[i])+1), 10))
+			b.WriteString(":@")
+		} else {
+			b.Write(strconv.AppendInt(num[:0], int64(len(refs[i])), 10))
+			b.WriteByte(':')
+		}
+		b.WriteString(refs[i])
 	}
 	return b.String()
+}
+
+// decLen is the number of decimal digits of a non-negative n.
+func decLen(n int) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }

@@ -120,16 +120,16 @@ func (s *cdcl) installLemmas() {
 	snapshot := s.store.lemmas
 	s.store.mu.Unlock()
 	for _, lm := range snapshot {
-		ls := make([]lit, len(lm))
+		ls := s.learnBuf[:0]
 		ok := true
-		for i, ll := range lm {
+		for _, ll := range lm {
 			if ll.gate != "" {
 				g, present := s.gateOf[ll.gate]
 				if !present {
 					ok = false
 					break
 				}
-				ls[i] = mkLit(g, ll.neg)
+				ls = append(ls, mkLit(g, ll.neg))
 			} else {
 				if ll.atom < 0 || ll.atom >= s.nAtoms {
 					// Imported lemmas are schema-checked but their atom
@@ -137,13 +137,14 @@ func (s *cdcl) installLemmas() {
 					ok = false
 					break
 				}
-				ls[i] = mkLit(ll.atom, ll.neg)
+				ls = append(ls, mkLit(ll.atom, ll.neg))
 			}
 		}
+		s.learnBuf = ls
 		if !ok {
 			continue
 		}
-		s.addClause(ls, len(ls) >= 2)
+		s.addClause(append(s.newLits(len(ls)), ls...), len(ls) >= 2)
 		s.stats.LemmaHits++
 	}
 }

@@ -114,36 +114,6 @@ func EnumerateAssignments(t Theory, atoms []Atom, visit func(Assignment) bool) b
 	return e.run(0, func([]int8) bool { return visit(e.asg) })
 }
 
-// EnumerateAssignmentsSeeded visits every theory-consistent full assignment
-// of the atoms that extends the given prefix assignment over atoms[:start].
-// The prefix must itself be theory-consistent; the enumeration branches only
-// over atoms[start:]. The visitor additionally receives a dense truth slice
-// indexed like atoms (1 true, 0 false), valid only for the duration of the
-// call. Seeded enumeration lets callers partition one exponential cell space
-// into disjoint contiguous sub-spaces — the unit of work of the parallel
-// validation pipeline.
-func EnumerateAssignmentsSeeded(t Theory, atoms []Atom, prefix Assignment, start int, visit func(Assignment, []int8) bool) bool {
-	e := newEnumEngine(t, atoms)
-	e.asg = make(Assignment, len(atoms))
-	for a, v := range prefix {
-		e.asg[a] = v
-	}
-	dense := make([]int8, 0, start)
-	for i := 0; i < start && i < len(atoms); i++ {
-		v, ok := prefix[atoms[i]]
-		switch {
-		case !ok:
-			dense = append(dense, -1)
-		case v:
-			dense = append(dense, 1)
-		default:
-			dense = append(dense, 0)
-		}
-	}
-	e.seedPrefix(dense, start)
-	return e.run(start, func([]int8) bool { return visit(e.asg, e.vals) })
-}
-
 // EnumerateAllAssignments visits every full boolean assignment of the atoms
 // with no theory pruning (2^len(atoms) visits). It exists for the
 // cell-pruning ablation benchmark; use EnumerateAssignments otherwise.
@@ -167,7 +137,8 @@ func EnumerateAllAssignments(atoms []Atom, visit func(Assignment) bool) bool {
 }
 
 // EnumerateAllAssignmentsIndexed is EnumerateAllAssignments extended with
-// the dense truth slice of EnumerateAssignmentsSeeded.
+// a dense truth slice indexed like atoms (1 true, 0 false), valid only for
+// the duration of the visit.
 func EnumerateAllAssignmentsIndexed(atoms []Atom, visit func(Assignment, []int8) bool) bool {
 	asg := Assignment{}
 	vals := make([]int8, len(atoms))

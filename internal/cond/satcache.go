@@ -1,7 +1,7 @@
 package cond
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -153,16 +153,14 @@ func (c *SatCache) SatisfiableHit(t Theory, x Expr) (sat, hit bool) {
 	atoms := Atoms(x)
 
 	// The theory fingerprint is shared by the verdict key (expr + theory)
-	// and the lemma-scope key (atoms + theory); build it once.
-	var tb strings.Builder
-	encodeTheory(&tb, t, atoms)
-	th := tb.String()
-
+	// and the lemma-scope key (atoms + theory); it is the key's suffix.
 	var kb strings.Builder
 	encodeExpr(&kb, x)
 	kb.WriteByte('#')
-	kb.WriteString(th)
+	thAt := kb.Len()
+	encodeTheory(&kb, t, atoms)
 	key := kb.String()
+	th := key[thAt:]
 
 	if v, ok := c.entries.Load(key); ok {
 		c.hits.Add(1)
@@ -375,24 +373,18 @@ func encodeExpr(b *strings.Builder, x Expr) {
 // the subtype facts against the query's type atoms and the attribute-
 // presence facts against the query's attribute atoms.
 func encodeTheory(b *strings.Builder, t Theory, atoms []Atom) {
-	// Distinct attributes and subjects, in the deterministic atom order.
-	var attrs []string
-	seenAttr := map[string]bool{}
-	subjSet := map[string]bool{}
+	// Distinct attributes in atom order and distinct subjects sorted. Atom
+	// sets are small, so a linear dedup into stack buffers beats maps.
+	var attrBuf, subjBuf [16]string
+	attrs, subjects := attrBuf[:0], subjBuf[:0]
 	for _, a := range atoms {
-		subjSet[a.subject()] = true
-		if a.Kind == AtomNull || a.Kind == AtomCmp {
-			if !seenAttr[a.Attr] {
-				seenAttr[a.Attr] = true
-				attrs = append(attrs, a.Attr)
-			}
+		if i, found := slices.BinarySearch(subjects, a.subject()); !found {
+			subjects = slices.Insert(subjects, i, a.subject())
+		}
+		if (a.Kind == AtomNull || a.Kind == AtomCmp) && !slices.Contains(attrs, a.Attr) {
+			attrs = append(attrs, a.Attr)
 		}
 	}
-	subjects := make([]string, 0, len(subjSet))
-	for s := range subjSet {
-		subjects = append(subjects, s)
-	}
-	sort.Strings(subjects)
 
 	for _, attr := range attrs {
 		b.WriteByte('D')

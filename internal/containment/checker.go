@@ -300,7 +300,8 @@ func (ch *Checker) containsBlocks(ctx context.Context, A, B []CQ) (bool, error) 
 // reasoningCond is the block's condition strengthened with the non-null
 // facts implied by its join equalities.
 func (b *CQ) reasoningCond() cond.Expr {
-	parts := []cond.Expr{b.Cond}
+	parts := make([]cond.Expr, 1, 1+2*len(b.Eqs))
+	parts[0] = b.Cond
 	for _, eq := range b.Eqs {
 		parts = append(parts,
 			cond.NotNull(eq[0].qualified()),

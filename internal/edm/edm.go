@@ -9,6 +9,7 @@ package edm
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/ormkit/incmap/internal/cond"
 )
@@ -85,16 +86,23 @@ type Association struct {
 }
 
 // Schema is a mutable client schema. The zero value is an empty schema
-// ready for use.
+// ready for use. Mutators must not run concurrently with anything else;
+// between mutations any number of goroutines may read the schema. Lookups
+// go through the hierarchy index described in index.go.
 type Schema struct {
-	types  map[string]*EntityType
+	types  map[string]*typeNode
 	order  []string
 	sets   []*EntitySet
 	assocs []*Association
+
+	ixMu         sync.Mutex // serialises building the name indexes
+	setsByName   listIndex[*EntitySet]
+	setsByRoot   listIndex[*EntitySet]
+	assocsByName listIndex[*Association]
 }
 
 // NewSchema returns an empty client schema.
-func NewSchema() *Schema { return &Schema{types: map[string]*EntityType{}} }
+func NewSchema() *Schema { return &Schema{types: map[string]*typeNode{}} }
 
 // AddType adds an entity type. The base type, when named, must already be
 // present.
@@ -103,13 +111,15 @@ func (s *Schema) AddType(t EntityType) error {
 		return fmt.Errorf("edm: entity type with empty name")
 	}
 	if s.types == nil {
-		s.types = map[string]*EntityType{}
+		s.types = map[string]*typeNode{}
 	}
 	if _, dup := s.types[t.Name]; dup {
 		return fmt.Errorf("edm: duplicate entity type %q", t.Name)
 	}
+	var base *typeNode
 	if t.Base != "" {
-		base, ok := s.types[t.Base]
+		var ok bool
+		base, ok = s.types[t.Base]
 		if !ok {
 			return fmt.Errorf("edm: type %q derives from unknown type %q", t.Name, t.Base)
 		}
@@ -117,7 +127,7 @@ func (s *Schema) AddType(t EntityType) error {
 			return fmt.Errorf("edm: derived type %q must not declare a key", t.Name)
 		}
 		for _, a := range t.Attrs {
-			if s.hasAttrUpward(base.Name, a.Name) {
+			if s.HasAttr(t.Base, a.Name) {
 				return fmt.Errorf("edm: type %q shadows inherited attribute %q", t.Name, a.Name)
 			}
 		}
@@ -148,8 +158,13 @@ func (s *Schema) AddType(t EntityType) error {
 	cp := t
 	cp.Attrs = append([]Attribute(nil), t.Attrs...)
 	cp.Key = append([]string(nil), t.Key...)
-	s.types[t.Name] = &cp
 	s.order = append(s.order, t.Name)
+	if base == nil {
+		s.types[t.Name] = &typeNode{t: &cp, h: &hierarchy{members: []string{t.Name}}}
+	} else {
+		s.types[t.Name] = &typeNode{t: &cp}
+		s.newHierarchy(append(base.h.members[:len(base.h.members):len(base.h.members)], t.Name))
+	}
 	return nil
 }
 
@@ -157,18 +172,15 @@ func (s *Schema) AddType(t EntityType) error {
 // as entity-set roots, and types referenced by associations cannot be
 // removed.
 func (s *Schema) RemoveType(name string) error {
-	if _, ok := s.types[name]; !ok {
+	n, ok := s.types[name]
+	if !ok {
 		return fmt.Errorf("edm: unknown entity type %q", name)
 	}
-	for _, t := range s.types {
-		if t.Base == name {
-			return fmt.Errorf("edm: type %q still has derived type %q", name, t.Name)
-		}
+	if kids := s.Children(name); len(kids) > 0 {
+		return fmt.Errorf("edm: type %q still has derived type %q", name, kids[0])
 	}
-	for _, set := range s.sets {
-		if set.Type == name {
-			return fmt.Errorf("edm: type %q is the root of entity set %q", name, set.Name)
-		}
+	if set := s.setRootedAt(name); set != nil {
+		return fmt.Errorf("edm: type %q is the root of entity set %q", name, set.Name)
 	}
 	for _, a := range s.assocs {
 		if a.End1.Type == name || a.End2.Type == name {
@@ -176,11 +188,20 @@ func (s *Schema) RemoveType(name string) error {
 		}
 	}
 	delete(s.types, name)
-	for i, n := range s.order {
-		if n == name {
+	for i, o := range s.order {
+		if o == name {
 			s.order = append(s.order[:i], s.order[i+1:]...)
 			break
 		}
+	}
+	if rest := len(n.h.members) - 1; rest > 0 {
+		members := make([]string, 0, rest)
+		for _, m := range n.h.members {
+			if m != name {
+				members = append(members, m)
+			}
+		}
+		s.newHierarchy(members)
 	}
 	return nil
 }
@@ -194,19 +215,19 @@ func (s *Schema) RerootType(typeName, newBase string) error {
 	if !ok {
 		return fmt.Errorf("edm: unknown entity type %q", typeName)
 	}
-	if t.Base != "" {
+	if t.t.Base != "" {
 		return fmt.Errorf("edm: type %q is not a hierarchy root", typeName)
 	}
 	base, ok := s.types[newBase]
 	if !ok {
 		return fmt.Errorf("edm: unknown base type %q", newBase)
 	}
-	if s.IsSubtype(base.Name, typeName) {
+	if s.IsSubtype(newBase, typeName) {
 		return fmt.Errorf("edm: rerooting %q under %q would create a cycle", typeName, newBase)
 	}
 	for _, d := range append([]string{typeName}, s.Descendants(typeName)...) {
-		for _, a := range s.types[d].Attrs {
-			if s.hasAttrUpward(newBase, a.Name) {
+		for _, a := range s.types[d].t.Attrs {
+			if s.HasAttr(newBase, a.Name) {
 				return fmt.Errorf("edm: attribute %q of %q collides with the %q hierarchy", a.Name, d, newBase)
 			}
 		}
@@ -214,19 +235,29 @@ func (s *Schema) RerootType(typeName, newBase string) error {
 	for i, set := range s.sets {
 		if set.Type == typeName {
 			s.sets = append(s.sets[:i], s.sets[i+1:]...)
+			s.setsByName.p.Store(nil)
+			s.setsByRoot.p.Store(nil)
 			break
 		}
 	}
-	t = s.mutableType(typeName)
-	t.Base = newBase
-	t.Key = nil
+	moved, into := t.h, base.h
+	mt := s.mutableType(typeName)
+	mt.Base = newBase
+	mt.Key = nil
+	// The merged hierarchy keeps declaration order across both.
+	members := make([]string, 0, len(moved.members)+len(into.members))
+	for _, n := range s.order {
+		if h := s.types[n].h; h == moved || h == into {
+			members = append(members, n)
+		}
+	}
+	s.newHierarchy(members)
 	return nil
 }
 
 // AddAttr declares an additional attribute on an existing type.
 func (s *Schema) AddAttr(typeName string, a Attribute) error {
-	t, ok := s.types[typeName]
-	if !ok {
+	if _, ok := s.types[typeName]; !ok {
 		return fmt.Errorf("edm: unknown entity type %q", typeName)
 	}
 	for _, n := range s.hierarchyOf(typeName) {
@@ -234,7 +265,7 @@ func (s *Schema) AddAttr(typeName string, a Attribute) error {
 			return fmt.Errorf("edm: attribute %q already exists in the hierarchy of %q", a.Name, typeName)
 		}
 	}
-	t = s.mutableType(typeName)
+	t := s.mutableType(typeName)
 	t.Attrs = append(t.Attrs, a)
 	return nil
 }
@@ -248,16 +279,21 @@ func (s *Schema) AddSet(set EntitySet) error {
 	if _, ok := s.types[set.Type]; !ok {
 		return fmt.Errorf("edm: entity set %q has unknown root type %q", set.Name, set.Type)
 	}
-	for _, e := range s.sets {
-		if e.Name == set.Name {
-			return fmt.Errorf("edm: duplicate entity set %q", set.Name)
-		}
-		if e.Type == set.Type {
-			return fmt.Errorf("edm: type %q already roots entity set %q", set.Type, e.Name)
+	if s.Set(set.Name) != nil || s.setRootedAt(set.Type) != nil {
+		// Report the first conflict in declaration order.
+		for _, e := range s.sets {
+			if e.Name == set.Name {
+				return fmt.Errorf("edm: duplicate entity set %q", set.Name)
+			}
+			if e.Type == set.Type {
+				return fmt.Errorf("edm: type %q already roots entity set %q", set.Type, e.Name)
+			}
 		}
 	}
 	cp := set
 	s.sets = append(s.sets, &cp)
+	s.setsByName.appended(s.sets, setName)
+	s.setsByRoot.appended(s.sets, setRoot)
 	return nil
 }
 
@@ -273,13 +309,12 @@ func (s *Schema) AddAssociation(a Association) error {
 	if _, ok := s.types[a.End2.Type]; !ok {
 		return fmt.Errorf("edm: association %q has unknown end type %q", a.Name, a.End2.Type)
 	}
-	for _, e := range s.assocs {
-		if e.Name == a.Name {
-			return fmt.Errorf("edm: duplicate association %q", a.Name)
-		}
+	if s.Association(a.Name) != nil {
+		return fmt.Errorf("edm: duplicate association %q", a.Name)
 	}
 	cp := a
 	s.assocs = append(s.assocs, &cp)
+	s.assocsByName.appended(s.assocs, assocName)
 	return nil
 }
 
@@ -288,6 +323,7 @@ func (s *Schema) RemoveAssociation(name string) error {
 	for i, a := range s.assocs {
 		if a.Name == name {
 			s.assocs = append(s.assocs[:i], s.assocs[i+1:]...)
+			s.assocsByName.p.Store(nil)
 			return nil
 		}
 	}
@@ -295,13 +331,18 @@ func (s *Schema) RemoveAssociation(name string) error {
 }
 
 // Type returns the named entity type, or nil.
-func (s *Schema) Type(name string) *EntityType { return s.types[name] }
+func (s *Schema) Type(name string) *EntityType {
+	if n, ok := s.types[name]; ok {
+		return n.t
+	}
+	return nil
+}
 
 // Types returns all entity types in declaration order.
 func (s *Schema) Types() []*EntityType {
 	out := make([]*EntityType, 0, len(s.order))
 	for _, n := range s.order {
-		out = append(out, s.types[n])
+		out = append(out, s.types[n].t)
 	}
 	return out
 }
@@ -311,12 +352,8 @@ func (s *Schema) Sets() []*EntitySet { return s.sets }
 
 // Set returns the named entity set, or nil.
 func (s *Schema) Set(name string) *EntitySet {
-	for _, e := range s.sets {
-		if e.Name == name {
-			return e
-		}
-	}
-	return nil
+	e, _ := s.setsByName.find(&s.ixMu, s.sets, setName, name)
+	return e
 }
 
 // Associations returns all association types in declaration order.
@@ -324,12 +361,8 @@ func (s *Schema) Associations() []*Association { return s.assocs }
 
 // Association returns the named association, or nil.
 func (s *Schema) Association(name string) *Association {
-	for _, a := range s.assocs {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
+	a, _ := s.assocsByName.find(&s.ixMu, s.assocs, assocName, name)
+	return a
 }
 
 // SetFor returns the entity set that persists instances of the given type:
@@ -339,129 +372,108 @@ func (s *Schema) SetFor(typeName string) *EntitySet {
 	if root == "" {
 		return nil
 	}
-	for _, e := range s.sets {
-		if e.Type == root {
-			return e
-		}
+	return s.setRootedAt(root)
+}
+
+// indexed returns the type's node and its built hierarchy index.
+func (s *Schema) indexed(typeName string) (*typeNode, *hierarchy) {
+	n, ok := s.types[typeName]
+	if !ok {
+		return nil, nil
 	}
-	return nil
+	return n, n.h.index(s.types)
 }
 
 // RootOf returns the hierarchy root of the given type, or "" if unknown.
 func (s *Schema) RootOf(typeName string) string {
-	t, ok := s.types[typeName]
-	if !ok {
+	_, h := s.indexed(typeName)
+	if h == nil || h.root < 0 {
 		return ""
 	}
-	for t.Base != "" {
-		t = s.types[t.Base]
-	}
-	return t.Name
+	return h.members[h.root]
 }
 
 // Parent returns the base type name of the given type ("" for roots).
 func (s *Schema) Parent(typeName string) string {
-	if t, ok := s.types[typeName]; ok {
-		return t.Base
+	if n, ok := s.types[typeName]; ok {
+		return n.t.Base
 	}
 	return ""
 }
 
 // IsSubtype reports whether sub equals typ or derives from it.
 func (s *Schema) IsSubtype(sub, typ string) bool {
-	t, ok := s.types[sub]
-	for ok {
-		if t.Name == typ {
-			return true
-		}
-		if t.Base == "" {
-			return false
-		}
-		t, ok = s.types[t.Base]
+	ns, ok := s.types[sub]
+	if !ok {
+		return false
 	}
-	return false
+	if sub == typ {
+		return true
+	}
+	nt, ok := s.types[typ]
+	if !ok || nt.h != ns.h {
+		return false
+	}
+	return ns.h.index(s.types).contains(nt.i, ns.i)
 }
 
 // Ancestors returns the proper ancestors of the type, nearest first.
 func (s *Schema) Ancestors(typeName string) []string {
 	var out []string
-	t, ok := s.types[typeName]
-	for ok && t.Base != "" {
-		out = append(out, t.Base)
-		t, ok = s.types[t.Base]
+	n, ok := s.types[typeName]
+	for ok && n.t.Base != "" {
+		out = append(out, n.t.Base)
+		n, ok = s.types[n.t.Base]
 	}
 	return out
 }
 
 // Descendants returns the proper descendants of the type in declaration
-// order.
+// order. The slice is shared; callers must not modify it.
 func (s *Schema) Descendants(typeName string) []string {
-	var out []string
-	for _, n := range s.order {
-		if n != typeName && s.IsSubtype(n, typeName) {
-			out = append(out, n)
-		}
+	n, h := s.indexed(typeName)
+	if n == nil {
+		return nil
 	}
-	return out
+	return h.desc[n.i]
 }
 
 // Children returns the direct subtypes of the type in declaration order.
 func (s *Schema) Children(typeName string) []string {
 	var out []string
-	for _, n := range s.order {
-		if s.types[n].Base == typeName {
-			out = append(out, n)
+	for _, d := range s.Descendants(typeName) {
+		if s.types[d].t.Base == typeName {
+			out = append(out, d)
 		}
 	}
 	return out
 }
 
 // ConcreteIn returns the non-abstract types in the sub-hierarchy rooted at
-// typeName (inclusive), in declaration order.
+// typeName (inclusive), in declaration order. The slice is shared; callers
+// must not modify it.
 func (s *Schema) ConcreteIn(typeName string) []string {
-	var out []string
-	for _, n := range s.order {
-		if !s.types[n].Abstract && s.IsSubtype(n, typeName) {
-			out = append(out, n)
-		}
+	n, h := s.indexed(typeName)
+	if n == nil {
+		return nil
 	}
-	return out
+	return h.concrete[n.i]
 }
 
-// hierarchyOf returns every type in the same hierarchy as typeName.
+// hierarchyOf returns every type in the same hierarchy as typeName, in
+// declaration order. The slice is shared; callers must not modify it.
 func (s *Schema) hierarchyOf(typeName string) []string {
-	root := s.RootOf(typeName)
-	var out []string
-	for _, n := range s.order {
-		if s.IsSubtype(n, root) {
-			out = append(out, n)
-		}
+	if n, ok := s.types[typeName]; ok {
+		return n.h.members
 	}
-	return out
+	return nil
 }
 
 func (s *Schema) hasDeclaredAttr(typeName, attr string) bool {
-	t := s.types[typeName]
-	for _, a := range t.Attrs {
+	for _, a := range s.types[typeName].t.Attrs {
 		if a.Name == attr {
 			return true
 		}
-	}
-	return false
-}
-
-func (s *Schema) hasAttrUpward(typeName, attr string) bool {
-	t, ok := s.types[typeName]
-	for ok {
-		for _, a := range t.Attrs {
-			if a.Name == attr {
-				return true
-			}
-		}
-		if t.Base == "" {
-			return false
-		}
-		t, ok = s.types[t.Base]
 	}
 	return false
 }
@@ -470,13 +482,13 @@ func (s *Schema) hasAttrUpward(typeName, attr string) bool {
 // root-most first.
 func (s *Schema) AllAttrs(typeName string) []Attribute {
 	chain := []*EntityType{}
-	t, ok := s.types[typeName]
+	n, ok := s.types[typeName]
 	for ok {
-		chain = append(chain, t)
-		if t.Base == "" {
+		chain = append(chain, n.t)
+		if n.t.Base == "" {
 			break
 		}
-		t, ok = s.types[t.Base]
+		n, ok = s.types[n.t.Base]
 	}
 	var out []Attribute
 	for i := len(chain) - 1; i >= 0; i-- {
@@ -495,12 +507,20 @@ func (s *Schema) AttrNames(typeName string) []string {
 	return out
 }
 
-// Attr looks up an attribute (inherited or declared) of the type.
+// Attr looks up an attribute (inherited or declared) of the type, walking
+// from the type up to its root.
 func (s *Schema) Attr(typeName, attr string) (Attribute, bool) {
-	for _, a := range s.AllAttrs(typeName) {
-		if a.Name == attr {
-			return a, true
+	n, ok := s.types[typeName]
+	for ok {
+		for _, a := range n.t.Attrs {
+			if a.Name == attr {
+				return a, true
+			}
 		}
+		if n.t.Base == "" {
+			break
+		}
+		n, ok = s.types[n.t.Base]
 	}
 	return Attribute{}, false
 }
@@ -518,17 +538,17 @@ func (s *Schema) KeyOf(typeName string) []string {
 	if root == "" {
 		return nil
 	}
-	return append([]string(nil), s.types[root].Key...)
+	return append([]string(nil), s.types[root].t.Key...)
 }
 
 // Validate checks global schema well-formedness beyond the incremental
 // checks done by the mutators.
 func (s *Schema) Validate() error {
+	// Cycles and unknown bases are found from the raw Base links, not the
+	// index, which assumes neither.
 	for _, n := range s.order {
-		t := s.types[n]
-		// Cycle detection.
 		seen := map[string]bool{n: true}
-		cur := t
+		cur := s.types[n].t
 		for cur.Base != "" {
 			if seen[cur.Base] {
 				return fmt.Errorf("edm: inheritance cycle through %q", cur.Base)
@@ -538,11 +558,11 @@ func (s *Schema) Validate() error {
 			if !ok {
 				return fmt.Errorf("edm: type %q derives from unknown type %q", cur.Name, cur.Base)
 			}
-			cur = next
+			cur = next.t
 		}
 	}
 	for _, n := range s.order {
-		if s.types[n].Base == "" && len(s.types[n].Key) == 0 {
+		if t := s.types[n].t; t.Base == "" && len(t.Key) == 0 {
 			return fmt.Errorf("edm: root type %q has no key", n)
 		}
 	}
@@ -565,13 +585,14 @@ func (s *Schema) Validate() error {
 // Clone returns a copy-on-write snapshot of the schema: the containers
 // (type map, declaration order, set and association lists) are copied so
 // each generation can add or remove entries privately, while the entries
-// themselves — *EntityType, *EntitySet, *Association — are shared. Every
-// mutator that changes an entry in place first replaces it with a private
-// copy (see mutableType), so a clone and its source never observe each
-// other's changes.
+// themselves — *EntityType, *EntitySet, *Association and the hierarchy
+// index versions — are shared. Every mutator that changes an entry in
+// place first replaces it with a private copy (see mutableType and
+// newHierarchy), so a clone and its source never observe each other's
+// changes.
 func (s *Schema) Clone() *Schema {
 	c := &Schema{
-		types:  make(map[string]*EntityType, len(s.types)),
+		types:  make(map[string]*typeNode, len(s.types)),
 		order:  append(make([]string, 0, len(s.order)), s.order...),
 		sets:   append(make([]*EntitySet, 0, len(s.sets)), s.sets...),
 		assocs: append(make([]*Association, 0, len(s.assocs)), s.assocs...),
@@ -579,6 +600,9 @@ func (s *Schema) Clone() *Schema {
 	for n, t := range s.types {
 		c.types[n] = t
 	}
+	s.setsByName.shareInto(&c.setsByName)
+	s.setsByRoot.shareInto(&c.setsByRoot)
+	s.assocsByName.shareInto(&c.assocsByName)
 	return c
 }
 
@@ -587,11 +611,18 @@ func (s *Schema) Clone() *Schema {
 // pre-CoW deep-copy semantics (aliasing tests, benchmark baselines).
 func (s *Schema) DeepClone() *Schema {
 	c := NewSchema()
+	hiers := map[*hierarchy]*hierarchy{}
 	for _, n := range s.order {
-		t := *s.types[n]
+		node := s.types[n]
+		h, ok := hiers[node.h]
+		if !ok {
+			h = &hierarchy{members: append([]string(nil), node.h.members...)}
+			hiers[node.h] = h
+		}
+		t := *node.t
 		t.Attrs = append([]Attribute(nil), t.Attrs...)
 		t.Key = append([]string(nil), t.Key...)
-		c.types[n] = &t
+		c.types[n] = &typeNode{t: &t, h: h, i: node.i}
 		c.order = append(c.order, n)
 	}
 	for _, e := range s.sets {
@@ -607,12 +638,15 @@ func (s *Schema) DeepClone() *Schema {
 
 // mutableType replaces the named type's entry with a private copy and
 // returns it. After Clone, entries are shared across generations; callers
-// must go through this before any in-place entry mutation.
+// must go through this before any in-place entry mutation. The copy stays
+// in its hierarchy version, so a caller that changes Base or Abstract must
+// then call newHierarchy.
 func (s *Schema) mutableType(name string) *EntityType {
-	t := *s.types[name]
+	n := s.types[name]
+	t := *n.t
 	t.Attrs = append([]Attribute(nil), t.Attrs...)
 	t.Key = append([]string(nil), t.Key...)
-	s.types[name] = &t
+	s.types[name] = &typeNode{t: &t, h: n.h, i: n.i}
 	return &t
 }
 
