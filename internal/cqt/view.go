@@ -64,30 +64,32 @@ func (v *View) ConstructEntities(env *Env) ([]*state.Entity, error) {
 }
 
 func applyCases(cases []Case, row state.Row) (*state.Entity, error) {
-	return ConstructEntity(cases, row)
+	return ConstructEntity(cases, state.RowInstance{R: row})
 }
 
-// ConstructEntity applies a view constructor τ to one relational row: the
+// ConstructEntity applies a view constructor τ to one relational row,
+// read through a condition instance over the query's output columns: the
 // first matching case builds the entity. A row matching no case is an
 // error — every row a query view emits must be constructible.
-func ConstructEntity(cases []Case, row state.Row) (*state.Entity, error) {
+func ConstructEntity(cases []Case, row cond.Instance) (*state.Entity, error) {
 	if e, ok := ConstructVisible(cases, row); ok {
 		return e, nil
 	}
-	return nil, fmt.Errorf("cqt: no constructor case matched row {%s}", row.Canonical())
+	return nil, fmt.Errorf("cqt: no constructor case matched row {%v}", row)
 }
 
 // ConstructVisible applies a constructor whose case list may have been
 // restricted (cross-version reads drop cases for types the old version
-// does not know): a row matching no case is invisible, not an error.
-func ConstructVisible(cases []Case, row state.Row) (*state.Entity, bool) {
+// does not know): a row matching no case is invisible, not an error. The
+// entity's attributes are a fresh map the caller owns.
+func ConstructVisible(cases []Case, row cond.Instance) (*state.Entity, bool) {
 	for _, c := range cases {
-		if !cond.EvalOn(cond.FreeTheory, c.When, state.RowInstance{R: row}) {
+		if !cond.EvalOn(cond.FreeTheory, c.When, row) {
 			continue
 		}
-		attrs := state.Row{}
+		attrs := make(state.Row, len(c.Attrs))
 		for attr, col := range c.Attrs {
-			if val, ok := row[col]; ok {
+			if val, ok := row.Lookup(col); ok {
 				attrs[attr] = val
 			}
 		}

@@ -297,3 +297,54 @@ func TestRingStoreConcurrentAppendScan(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", got, writers*perWriter)
 	}
 }
+
+// TestConcurrentIteratorsPooledBatches runs every view of a workload from
+// several goroutines at once. Operators take their batch memory from a
+// shared pool and return it at Close, so a slab handed to two live
+// iterators would show up here as a race or a diverging result.
+func TestConcurrentIteratorsPooledBatches(t *testing.T) {
+	m := workload.PaperFull()
+	v, cs, ss := compileWL(t, m, 19)
+	env := &exec.Env{Catalog: m.Catalog(), Store: exec.RingFromState(ss, 3), Client: cs}
+	exprs := allViewExprs(t, m, v)
+	run := func(batch int) ([][]string, error) {
+		out := make([][]string, len(exprs))
+		for i, q := range exprs {
+			it, err := exec.Open(context.Background(), env, q, exec.Options{BatchSize: batch})
+			if err != nil {
+				return nil, err
+			}
+			res, err := exec.Collect(it)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = canonicalRows(res.Rows)
+		}
+		return out, nil
+	}
+	want, err := run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(batch int) {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				got, err := run(batch)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range want {
+					if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+						t.Errorf("batch %d: view %d diverged under concurrency", batch, i)
+						return
+					}
+				}
+			}
+		}(1 + g)
+	}
+	wg.Wait()
+}

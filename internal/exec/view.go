@@ -24,10 +24,12 @@ const (
 )
 
 // EntityIter streams constructed entities from a compiled query view.
-// The same batch-ownership contract as Iterator applies: an entity batch
-// is valid until the next Next or Close.
+// The same batch-ownership contract as Iterator applies to the batch
+// slice, which is reused by the next Next; the entities themselves are
+// freshly built (one Attrs map each) and owned by the caller.
 type EntityIter struct {
 	in     Iterator
+	inst   *rowInst
 	cases  []cqt.Case
 	mode   ViewMode
 	closed bool
@@ -44,7 +46,8 @@ func OpenView(ctx context.Context, env *Env, v *cqt.View, mode ViewMode, opts Op
 	if err != nil {
 		return nil, err
 	}
-	return &EntityIter{in: in, cases: v.Cases, mode: mode}, nil
+	// Constructor cases read output columns only, type-blind.
+	return &EntityIter{in: in, inst: newRowInst(in.Cols(), nil), cases: v.Cases, mode: mode}, nil
 }
 
 // Next returns the next batch of constructed entities.
@@ -66,13 +69,14 @@ func (e *EntityIter) Next() ([]*state.Entity, bool, error) {
 		}
 		e.buf = e.buf[:0]
 		for _, t := range batch {
+			e.inst.t = t
 			if e.mode == Visible {
-				if ent, vis := cqt.ConstructVisible(e.cases, t.Data); vis {
+				if ent, vis := cqt.ConstructVisible(e.cases, e.inst); vis {
 					e.buf = append(e.buf, ent)
 				}
 				continue
 			}
-			ent, err := cqt.ConstructEntity(e.cases, t.Data)
+			ent, err := cqt.ConstructEntity(e.cases, e.inst)
 			if err != nil {
 				e.err = err
 				return nil, false, err
@@ -100,9 +104,10 @@ func (e *EntityIter) Close() error {
 	return e.in.Close()
 }
 
-// Collect drains an iterator into a materialized result. It exists for
-// tests and differential comparison; production readers should consume
-// batches as they stream.
+// Collect drains an iterator into a materialized result, one fresh row
+// map per tuple. It exists for tests, differential comparison and
+// association reads; production readers should consume batches as they
+// stream.
 func Collect(it Iterator) (*cqt.Result, error) {
 	defer it.Close()
 	res := &cqt.Result{Cols: it.Cols()}
@@ -115,7 +120,7 @@ func Collect(it Iterator) (*cqt.Result, error) {
 			return res, nil
 		}
 		for _, t := range batch {
-			res.Rows = append(res.Rows, t.Data)
+			res.Rows = append(res.Rows, t.Row(res.Cols))
 		}
 	}
 }

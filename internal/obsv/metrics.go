@@ -209,18 +209,18 @@ const (
 	// the per-batch hot loop touches no shared atomics. Rows/Batches count
 	// tuples and batches emitted by every operator; ScanRows only those
 	// read from a table store; JoinBuildRows the tuples a hash join held
-	// as its build side; Spills the blocking operators whose held state
-	// exceeded the configured spill threshold (a memory-pressure signal —
-	// rows stay in memory); ScanFaults the injected or store-level scan
-	// errors surfaced as typed executor errors.
-	MExecOpens         = "exec.opens"
-	MExecRows          = "exec.rows"
-	MExecBatches       = "exec.batches"
-	MExecScanRows      = "exec.scan.rows"
-	MExecJoinBuildRows = "exec.join.build_rows"
-	MExecSpills        = "exec.spills"
-	MExecConstructed   = "exec.constructed"
-	MExecScanFaults    = "exec.scan.faults"
+	// as its build side; JoinLargeBuilds the hash-join builds that held
+	// more than a fixed row threshold (a memory-pressure signal; nothing
+	// spills, rows stay in memory); ScanFaults the injected or store-level
+	// scan errors surfaced as typed executor errors.
+	MExecOpens           = "exec.opens"
+	MExecRows            = "exec.rows"
+	MExecBatches         = "exec.batches"
+	MExecScanRows        = "exec.scan.rows"
+	MExecJoinBuildRows   = "exec.join.build_rows"
+	MExecJoinLargeBuilds = "exec.join.large_builds"
+	MExecConstructed     = "exec.constructed"
+	MExecScanFaults      = "exec.scan.faults"
 )
 
 // expvarOnce guards the process-global expvar name, which panics on

@@ -140,6 +140,7 @@ func MaterializeStream(ctx context.Context, m *frag.Mapping, views *frag.Views, 
 		if err != nil {
 			return fmt.Errorf("orm: update view for %s: %w", table, err)
 		}
+		cols := it.Cols()
 		for {
 			batch, ok, err := it.Next()
 			if err != nil {
@@ -149,9 +150,10 @@ func MaterializeStream(ctx context.Context, m *frag.Mapping, views *frag.Views, 
 			if !ok {
 				break
 			}
+			// The Appender owns what it is given: one fresh row per tuple.
 			rows := make([]state.Row, len(batch))
 			for i, t := range batch {
-				rows[i] = t.Data
+				rows[i] = t.Row(cols)
 			}
 			dst.Append(table, rows...)
 		}

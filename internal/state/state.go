@@ -352,3 +352,6 @@ func (r RowInstance) Lookup(attr string) (cond.Value, bool) {
 	v, ok := r.R[attr]
 	return v, ok
 }
+
+// String renders the row canonically.
+func (r RowInstance) String() string { return r.R.Canonical() }

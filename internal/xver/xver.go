@@ -397,7 +397,7 @@ func (p *Plan) ReadClient(ss *state.StoreState) (*state.ClientState, error) {
 			return nil, fmt.Errorf("xver: cross-read view for %s: %w", setName, err)
 		}
 		for _, row := range res.Rows {
-			if e, ok := cqt.ConstructVisible(v.Cases, row); ok {
+			if e, ok := cqt.ConstructVisible(v.Cases, state.RowInstance{R: row}); ok {
 				cs.Insert(setName, e)
 			}
 		}
