@@ -97,6 +97,24 @@ func (v Value) String() string {
 	}
 }
 
+// AppendLiteral appends v.String() to dst without building the string.
+func (v Value) AppendLiteral(dst []byte) []byte {
+	switch v.K {
+	case KindString:
+		dst = append(dst, '\'')
+		dst = append(dst, v.s...)
+		return append(dst, '\'')
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	case KindBool:
+		return strconv.AppendBool(dst, v.b)
+	default:
+		return append(dst, '?')
+	}
+}
+
 // Compare compares two values of the same kind. It returns a negative,
 // zero, or positive integer in the usual way. Comparing values of
 // different kinds returns ok == false.

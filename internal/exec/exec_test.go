@@ -236,6 +236,85 @@ func TestRingStoreSegmentsAndSnapshots(t *testing.T) {
 	_ = it2.Close()
 }
 
+// TestRingStoreGrowthKeepsPrefixes appends in uneven batches to a table
+// whose first segment grows by doubling while scans run: every scan must
+// see exactly rows 0..n-1 in order, including scans opened before a
+// growth step and read after it.
+func TestRingStoreGrowthKeepsPrefixes(t *testing.T) {
+	const segCap, total = 16, 300
+	rs := exec.NewRingStore(segCap)
+	scanPrefix := func(it exec.RowIter) (int, error) {
+		n := 0
+		for {
+			rows, ok, err := it.Next()
+			if err != nil {
+				return n, err
+			}
+			if !ok {
+				return n, it.Close()
+			}
+			for _, row := range rows {
+				if got := row["I"].IntVal(); got != int64(n) {
+					return n, fmt.Errorf("row %d holds I=%d", n, got)
+				}
+				n++
+			}
+		}
+	}
+	// A scan opened on the one-row first segment, drained after the
+	// segment has grown several times.
+	rs.Append("T", state.Row{"I": cond.Int(0)})
+	early, err := rs.Scan(context.Background(), "T", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i < total; {
+			var batch []state.Row
+			for k := 0; k < 1+i%5 && i < total; k++ {
+				batch = append(batch, state.Row{"I": cond.Int(int64(i))})
+				i++
+			}
+			rs.Append("T", batch...)
+		}
+	}()
+	var sg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		sg.Add(1)
+		go func() {
+			defer sg.Done()
+			last := 0
+			for last < total {
+				it, err := rs.Scan(context.Background(), "T", 3)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				n, err := scanPrefix(it)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if n < last {
+					t.Errorf("scan saw %d rows after an earlier scan saw %d", n, last)
+					return
+				}
+				last = n
+			}
+		}()
+	}
+	<-done
+	sg.Wait()
+	if n, err := scanPrefix(early); err != nil || n != 1 {
+		t.Fatalf("early scan saw %d rows (%v), want its 1-row snapshot", n, err)
+	}
+	if got := rs.Len("T"); got != total {
+		t.Fatalf("Len = %d, want %d", got, total)
+	}
+}
+
 func TestRingStoreConcurrentAppendScan(t *testing.T) {
 	rs := exec.NewRingStore(8)
 	mkRow := func(g, i int) state.Row {

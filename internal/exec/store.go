@@ -140,8 +140,10 @@ func (m MapStore) Append(table string, rows ...state.Row) {
 // per-segment lengths once at open and then iterate without locks, so a
 // scan never copies rows, never blocks appenders, and concurrent appends
 // are simply invisible to scans opened before them. Committed rows are
-// never moved or rewritten (segments have fixed capacity, so growth
-// never reallocates a segment another scan is reading).
+// never rewritten: a table's first segment starts at the size of its
+// first append and grows by copying into a fresh array (doubling, up to
+// the segment capacity), and every later segment has that fixed capacity,
+// so no append writes into the part of an array a scan is reading.
 type RingStore struct {
 	mu     sync.RWMutex
 	tables map[string]*ringTable
@@ -203,15 +205,31 @@ func (r *RingStore) Append(table string, rows ...state.Row) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for len(rows) > 0 {
-		if len(t.segs) == 0 || len(t.segs[len(t.segs)-1]) == cap(t.segs[len(t.segs)-1]) {
+		last := len(t.segs) - 1
+		switch {
+		case last < 0:
+			// A table's first segment is sized to what arrives, so
+			// small tables do not pay for a full segment.
+			t.segs = append(t.segs, make([]state.Row, 0, min(len(rows), r.segCap)))
+			last = 0
+		case len(t.segs[last]) < cap(t.segs[last]):
+		case cap(t.segs[last]) < r.segCap:
+			// Grow the full first segment by doubling up to segCap. The
+			// copy goes to a fresh array: scans opened earlier keep
+			// reading the old one, whose rows are never rewritten.
+			grown := make([]state.Row, len(t.segs[last]), min(max(2*cap(t.segs[last]), len(t.segs[last])+len(rows)), r.segCap))
+			copy(grown, t.segs[last])
+			t.segs[last] = grown
+		default:
 			t.segs = append(t.segs, make([]state.Row, 0, r.segCap))
+			last++
 		}
-		tail := t.segs[len(t.segs)-1]
+		tail := t.segs[last]
 		n := cap(tail) - len(tail)
 		if n > len(rows) {
 			n = len(rows)
 		}
-		t.segs[len(t.segs)-1] = append(tail, rows[:n]...)
+		t.segs[last] = append(tail, rows[:n]...)
 		t.n += n
 		rows = rows[n:]
 	}

@@ -37,11 +37,19 @@ func (db *DB) Store() *state.StoreState { return db.store }
 // Table returns a copy of a table's rows sorted canonically.
 func (db *DB) Table(name string) []state.Row {
 	rows := db.store.Tables[name]
-	out := make([]state.Row, len(rows))
-	for i, r := range rows {
-		out[i] = r.Clone()
+	type keyed struct {
+		key string
+		row state.Row
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Canonical() < out[j].Canonical() })
+	ks := make([]keyed, len(rows))
+	for i, r := range rows {
+		ks[i] = keyed{r.Canonical(), r}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	out := make([]state.Row, len(ks))
+	for i, k := range ks {
+		out[i] = k.row.Clone()
+	}
 	return out
 }
 

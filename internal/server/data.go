@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"github.com/ormkit/incmap/internal/exec"
 	"github.com/ormkit/incmap/internal/modelio"
@@ -31,7 +32,8 @@ import (
 // (valid once a rollout has cut over) drives the old generation's update
 // views and the cross-version transform, exercising the paper's
 // version-k-writer-against-version-k+1-store path. Reads never fail: the
-// worst case is row counts against a stale generation.
+// worst case is row counts against a stale generation. They answer from
+// the summary computed when the rows were installed (dataPlane).
 
 // dataManifestName keys a tenant's persisted row store.
 func dataManifestName(tenant string) string { return "data-" + manifestKey(tenant) }
@@ -73,32 +75,77 @@ type dataResponse struct {
 	Frozen   bool           `json:"frozen,omitempty"`
 }
 
-// dataSnapshot returns a coherent reference to the tenant's data plane.
-// The store state itself is treated as immutable once installed (writers
-// swap whole states), so sharing the pointers is safe.
-func (t *tenant) dataSnapshot() (data, prev *state.StoreState, plan *xver.Plan, frozen bool) {
-	t.dataMu.RLock()
-	defer t.dataMu.RUnlock()
-	return t.data, t.prevData, t.xplan, t.frozen
+// dataPlane is one installed store state as reads see it: the rows, the
+// cross-version context they were installed with, and the summary every
+// GET /data answers from. installDataLocked builds it once per install
+// and swaps it in whole; nothing mutates it afterwards except the lazily
+// filled cross-entity counts, which are a pure function of plan and rows.
+// Installed rows are never written again (writers build a fresh state and
+// install that), so the summary can never go stale and readers share the
+// plane without copying or hashing anything.
+type dataPlane struct {
+	rows *state.StoreState
+	// prev is the frozen pre-cutover store, kept while plan lets
+	// version-k clients read and write the version-k+1 rows.
+	prev *state.StoreState
+	plan *xver.Plan
+
+	tables   map[string]int
+	total    int
+	checksum string
+
+	crossMu sync.Mutex
+	cross   map[string]int
 }
 
 // crossEntities counts entities per set as a version-k client sees the
-// store through the cross-version read views, streaming each restricted
-// constructor instead of materializing the projected client state.
-func crossEntities(plan *xver.Plan, ss *state.StoreState) (map[string]int, error) {
-	return plan.CountEntitiesStream(context.Background(), exec.NewMapStore(ss), exec.Options{})
-}
-
-// summarize renders a store state for the wire through the streaming
-// summarizer (batch-at-a-time scans, order-independent multiset
-// checksum).
-func summarize(ss *state.StoreState) (map[string]int, int, string) {
-	if ss == nil {
-		return streamSummarize(context.Background(), nil)
+// rows through the cross-version read views, streaming each restricted
+// constructor instead of materializing the projected client state. The
+// counts are computed on first use and kept; a failed count (nil) is
+// retried by the next read, so a transient scan fault does not stick.
+func (p *dataPlane) crossEntities() map[string]int {
+	p.crossMu.Lock()
+	defer p.crossMu.Unlock()
+	if p.cross == nil {
+		if ents, err := p.plan.CountEntitiesStream(context.Background(), exec.NewMapStore(p.rows), exec.Options{}); err == nil {
+			p.cross = ents
+		}
 	}
-	return streamSummarize(context.Background(), exec.NewMapStore(ss))
+	return p.cross
 }
 
+// installDataLocked is the data plane's one install path, and install
+// time the one place the daemon hashes rows: it summarizes the new rows
+// (nil summarizes as the empty store), swaps the plane in whole and, when
+// persist is set, snapshots the rows to the store (best-effort; the
+// manifest write is checksummed and a damaged record reads as empty).
+// Callers hold dataMu and hand over rows nobody mutates afterwards.
+func (t *tenant) installDataLocked(rows, prev *state.StoreState, plan *xver.Plan, persist bool) *dataPlane {
+	p := &dataPlane{rows: rows, prev: prev, plan: plan}
+	var ts exec.TableStore
+	if rows != nil {
+		ts = exec.NewMapStore(rows)
+	}
+	p.tables, p.total, p.checksum = streamSummarize(context.Background(), ts)
+	t.data = p
+	if persist && t.srv.opts.Store != nil {
+		if payload, err := modelio.EncodeRows(rows); err == nil {
+			_ = t.srv.opts.Store.SaveManifest(dataManifestName(t.name), payload)
+		}
+	}
+	return p
+}
+
+// dataSnapshot returns the installed data plane and the backfill freeze
+// flag, coherently.
+func (t *tenant) dataSnapshot() (*dataPlane, bool) {
+	t.dataMu.RLock()
+	defer t.dataMu.RUnlock()
+	return t.data, t.frozen
+}
+
+// handleDataGet answers from the installed plane's summary: no row is
+// scanned or hashed here.
 func (s *Server) handleDataGet(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.lookup(r.PathValue("name"))
 	if !ok {
@@ -106,28 +153,26 @@ func (s *Server) handleDataGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := t.read()
-	data, prev, plan, frozen := t.dataSnapshot()
-	resp := &dataResponse{Tenant: t.name, Generation: st.gen, Version: "current", Frozen: frozen}
-
+	p, frozen := t.dataSnapshot()
+	resp := &dataResponse{
+		Tenant:     t.name,
+		Generation: st.gen,
+		Version:    "current",
+		Tables:     p.tables,
+		TotalRows:  p.total,
+		Checksum:   p.checksum,
+		Frozen:     frozen,
+	}
+	// Before a cutover "prev" is just the serving store. After one, a
+	// version-k client reading the version-k+1 store also gets entity
+	// counts through the cross-version read views; reads never 5xx, so a
+	// cross-read failure degrades to the raw table counts.
 	if r.URL.Query().Get("version") == "prev" {
 		resp.Version = "prev"
-		if plan == nil || prev == nil {
-			// No cutover has happened: "prev" is just the serving store.
-			resp.Tables, resp.TotalRows, resp.Checksum = summarize(data)
-			writeJSON(w, http.StatusOK, resp)
-			return
+		if p.plan != nil && p.prev != nil {
+			resp.Entities = p.crossEntities()
 		}
-		// Version-k client reading the version-k+1 store: counts come
-		// through the cross-version read views. Reads never 5xx — a
-		// cross-read failure degrades to raw table counts.
-		resp.Tables, resp.TotalRows, resp.Checksum = summarize(data)
-		if ents, err := crossEntities(plan, data); err == nil {
-			resp.Entities = ents
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
 	}
-	resp.Tables, resp.TotalRows, resp.Checksum = summarize(data)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -176,20 +221,19 @@ func (t *tenant) writeData(req dataRequest) (*dataResponse, *apiError) {
 	switch req.Version {
 	case "current":
 		cs := orm.RandomState(st.m, req.Seed, req.MaxPerType)
-		ss, err := orm.Materialize(st.m, st.v, cs)
-		if err != nil {
+		next = state.NewStoreState()
+		if err := orm.MaterializeStream(context.Background(), st.m, st.v, cs, exec.NewMapStore(next), exec.Options{}); err != nil {
 			return nil, &apiError{status: http.StatusUnprocessableEntity, msg: fmt.Sprintf("materialize: %v", err)}
 		}
-		next = ss
 	case "prev":
-		if t.xplan == nil {
+		if t.data.plan == nil {
 			return nil, &apiError{status: http.StatusConflict, msg: "no cross-version plan: tenant has not cut over"}
 		}
 		// The old version's writer: random state over the OLD model,
 		// materialized through the OLD update views, then transformed to
 		// the new layout (gap columns filled per strategy).
-		cs := orm.RandomState(t.xplan.From.M, req.Seed, req.MaxPerType)
-		ss, err := t.xplan.WriteClient(cs)
+		cs := orm.RandomState(t.data.plan.From.M, req.Seed, req.MaxPerType)
+		ss, err := t.data.plan.WriteClient(cs)
 		if err != nil {
 			return nil, &apiError{status: http.StatusUnprocessableEntity, msg: fmt.Sprintf("cross-version write: %v", err)}
 		}
@@ -198,29 +242,15 @@ func (t *tenant) writeData(req dataRequest) (*dataResponse, *apiError) {
 		return nil, &apiError{status: http.StatusBadRequest, msg: strconv.Quote(req.Version) + " is not a version (want current or prev)"}
 	}
 
-	t.data = next
-	t.persistDataLocked()
-	tables, total, sum := summarize(next)
+	p := t.installDataLocked(next, t.data.prev, t.data.plan, true)
 	return &dataResponse{
 		Tenant:     t.name,
 		Generation: st.gen,
 		Version:    req.Version,
-		Tables:     tables,
-		TotalRows:  total,
-		Checksum:   sum,
+		Tables:     p.tables,
+		TotalRows:  p.total,
+		Checksum:   p.checksum,
 	}, nil
-}
-
-// persistDataLocked snapshots the data plane to the store (best-effort;
-// the manifest write is checksummed and a damaged record reads as empty).
-// Callers hold dataMu.
-func (t *tenant) persistDataLocked() {
-	if t.srv.opts.Store == nil || t.data == nil {
-		return
-	}
-	if payload, err := modelio.EncodeRows(t.data); err == nil {
-		_ = t.srv.opts.Store.SaveManifest(dataManifestName(t.name), payload)
-	}
 }
 
 // restoreData loads the persisted data plane, if any. Called during tenant
@@ -234,8 +264,9 @@ func (t *tenant) restoreData() {
 		return
 	}
 	if ss, err := modelio.DecodeRows(payload); err == nil {
+		// The store already holds these rows: install without persisting.
 		t.dataMu.Lock()
-		t.data = ss
+		t.installDataLocked(ss, nil, nil, false)
 		t.dataMu.Unlock()
 	}
 }

@@ -211,6 +211,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // viewsResponse is a read: the serving generation's view names plus the
 // status that says exactly how fresh that generation is. Reads always
 // succeed — a failed evolve shows up here as stale=true, never as a 5xx.
+// The names are sorted once, when the generation commits (newGenState).
 type viewsResponse struct {
 	*TenantStatus
 	Types  []string `json:"types"`
@@ -225,12 +226,7 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := t.read()
-	resp := viewsResponse{TenantStatus: t.status()}
-	if st.v != nil {
-		resp.Types = sortedKeys(st.v.Query)
-		resp.Assocs = sortedKeys(st.v.Assoc)
-		resp.Tables = sortedKeys(st.v.Update)
-	}
+	resp := viewsResponse{TenantStatus: t.status(), Types: st.types, Assocs: st.assocs, Tables: st.tables}
 	writeJSON(w, http.StatusOK, &resp)
 }
 

@@ -440,8 +440,8 @@ func (r *rollout) canary() bool {
 			r.diverge(fmt.Sprintf("canary %d", i), d)
 		}
 	}
-	if data, _, _, _ := r.t.dataSnapshot(); data != nil {
-		d, err := r.plan.CheckMigration(data)
+	if p, _ := r.t.dataSnapshot(); p.rows != nil {
+		d, err := r.plan.CheckMigration(p.rows)
 		switch {
 		case err != nil:
 			r.diverge("live migration", err.Error())
@@ -465,10 +465,10 @@ func (r *rollout) backfill() bool {
 	if !r.resumed {
 		r.setPhase(phaseBackfill)
 		t.dataMu.Lock()
-		if t.data == nil {
-			t.data = state.NewStoreState()
+		if t.data.rows == nil {
+			t.installDataLocked(state.NewStoreState(), t.data.prev, t.data.plan, true)
 		}
-		r.src = t.data
+		r.src = t.data.rows
 		t.frozen = true
 		t.dataMu.Unlock()
 		r.batches = planBatches(r.src, eff.BatchRows)
@@ -589,11 +589,8 @@ func (r *rollout) cutover() bool {
 	}
 	t.commit(head.M, head.V)
 	t.dataMu.Lock()
-	t.prevData = r.src
-	t.data = r.migrated
-	t.xplan = r.plan
+	t.installDataLocked(r.migrated, r.src, r.plan, true)
 	t.frozen = false
-	t.persistDataLocked()
 	t.dataMu.Unlock()
 	mRolloutCutovers.Add(1)
 	r.note("cutover: serving generation %s", head.FP)
@@ -606,12 +603,12 @@ func (r *rollout) cutover() bool {
 // still reconstruct the pre-cutover client state, and the health gates
 // must hold. Failure rolls the generation and the rows back.
 func (r *rollout) verify() bool {
-	data, _, _, _ := r.t.dataSnapshot()
+	p, _ := r.t.dataSnapshot()
 	old, err := orm.Load(r.from.M, r.from.V, r.src)
 	if err != nil {
 		r.diverge("verify", fmt.Sprintf("loading source state: %v", err))
 	} else {
-		cur, rerr := r.plan.ReadClient(data)
+		cur, rerr := r.plan.ReadClient(p.rows)
 		switch {
 		case rerr != nil:
 			r.diverge("verify", rerr.Error())
@@ -675,11 +672,8 @@ func (r *rollout) rollbackPost(reason string) {
 	}
 	t.commit(head.M, head.V)
 	t.dataMu.Lock()
-	t.data = r.src
-	t.prevData = nil
-	t.xplan = nil
+	t.installDataLocked(r.src, nil, nil, true)
 	t.frozen = false
-	t.persistDataLocked()
 	t.dataMu.Unlock()
 	r.deleteCheckpoints()
 	mRolloutRollbacks.Add(1)
@@ -850,9 +844,11 @@ func (s *Server) resumeRollout(t *tenant) {
 	}
 	r.note("resumed backfill at batch %d/%d (%d checkpointed batches reused)", valid, len(r.batches), valid)
 
-	// The data plane must serve the frozen source until cutover.
+	// The data plane must serve the frozen source until cutover; the
+	// install also persists it, so the store's data record matches the
+	// source even if the pre-crash process never got to write it.
 	t.dataMu.Lock()
-	t.data = src
+	t.installDataLocked(src, nil, nil, true)
 	t.frozen = true
 	t.dataMu.Unlock()
 

@@ -11,21 +11,20 @@ import (
 	"github.com/ormkit/incmap/internal/exec"
 )
 
-// Streaming data-plane reads. The daemon's GET path used to render a
-// tenant's rows by canonically encoding the whole store state in one
-// buffer and hashing it; both the encode and the hash held the full
-// serialization in memory. The streaming summarizer walks each table
-// through the executor's TableStore scans batch-at-a-time and folds rows
-// into an order-independent multiset checksum, so the data plane's read
-// cost is one batch regardless of tenant size — and the same code path
-// serves both map-backed tenant states (via exec.MapStore) and any
-// future log-backed store.
+// Data-plane summaries. A tenant's GET /data answer — per-table row
+// counts, the total and a checksum — is computed once, when a store state
+// is installed (see installDataLocked), and served from then on without
+// touching a row: installed states are immutable, so the summary cannot
+// go stale. streamSummarize computes it by walking each table through the
+// executor's TableStore scans batch-at-a-time and folding every row into
+// an order-independent multiset checksum, so the same code summarizes
+// map-backed tenant states (via exec.MapStore) and any log-backed store.
 //
 // The checksum is deterministic across processes and row orderings: two
 // stores holding the same multiset of rows per table always hash equal,
 // which is the property the rollout soak's restart/rollback comparisons
-// rely on. (The value differs from the old whole-encoding hash; nothing
-// persists checksums, so only like-for-like comparisons matter.)
+// rely on. Nothing persists checksums, so only like-for-like comparisons
+// matter.
 
 // rowDigestSum is a commutative fold of row digests: per-row SHA-256
 // truncated to four uint64 lanes, added lane-wise with wraparound.
@@ -33,8 +32,8 @@ import (
 // set.
 type rowDigestSum [4]uint64
 
-func (s *rowDigestSum) add(rowCanonical string) {
-	d := sha256.Sum256([]byte(rowCanonical))
+func (s *rowDigestSum) add(rowCanonical []byte) {
+	d := sha256.Sum256(rowCanonical)
 	for i := 0; i < 4; i++ {
 		s[i] += binary.BigEndian.Uint64(d[i*8:])
 	}
@@ -42,8 +41,7 @@ func (s *rowDigestSum) add(rowCanonical string) {
 
 // streamSummarize renders a table store for the wire: per-table row
 // counts, the total, and the multiset checksum. A scan error degrades to
-// an empty checksum (reads never fail), matching the old summarize's
-// behaviour on encode errors.
+// an empty checksum: a summary never fails.
 func streamSummarize(ctx context.Context, ts exec.TableStore) (map[string]int, int, string) {
 	tables := map[string]int{}
 	total := 0
@@ -56,6 +54,7 @@ func streamSummarize(ctx context.Context, ts exec.TableStore) (map[string]int, i
 		sum   rowDigestSum
 	}
 	var sums []tableSum
+	var buf []byte // one row's canonical form, reused across rows
 	for _, name := range ts.Tables() {
 		it, err := ts.Scan(ctx, name, exec.DefaultBatchSize)
 		if err != nil {
@@ -72,7 +71,8 @@ func streamSummarize(ctx context.Context, ts exec.TableStore) (map[string]int, i
 				break
 			}
 			for _, r := range rows {
-				t.sum.add(r.Canonical())
+				buf = r.AppendCanonical(buf[:0])
+				t.sum.add(buf)
 			}
 			t.count += len(rows)
 		}

@@ -15,9 +15,7 @@ import (
 	"github.com/ormkit/incmap/internal/faultinject"
 	"github.com/ormkit/incmap/internal/frag"
 	"github.com/ormkit/incmap/internal/pipeline"
-	"github.com/ormkit/incmap/internal/state"
 	"github.com/ormkit/incmap/internal/store"
-	"github.com/ormkit/incmap/internal/xver"
 )
 
 // tenant is one registered model: a session, a bounded evolve queue
@@ -60,17 +58,14 @@ type tenant struct {
 	reads      atomic.Int64
 	staleReads atomic.Int64
 
-	// dataMu guards the tenant's row store and cross-version artifacts:
-	// data is the serving store state, prevData the frozen pre-cutover
-	// snapshot kept for post-cutover rollback and version-k clients, and
-	// xplan the cross-version plan that lets those clients keep reading and
-	// writing after cutover. frozen marks the backfill window, during which
-	// writes are rejected with 409 (reads continue against data).
-	dataMu   sync.RWMutex
-	data     *state.StoreState
-	prevData *state.StoreState
-	xplan    *xver.Plan
-	frozen   bool
+	// dataMu guards the tenant's data plane: data is the installed store
+	// state with its summary and cross-version context (never nil; only
+	// installDataLocked replaces it), and frozen marks the backfill
+	// window, during which writes are rejected with 409 (reads continue
+	// against data).
+	dataMu sync.RWMutex
+	data   *dataPlane
+	frozen bool
 
 	// roMu guards ro, the tenant's most recent rollout (at most one can be
 	// active; a finished one stays for GET status until the next starts).
@@ -80,14 +75,28 @@ type tenant struct {
 
 // genState is one coherent serving snapshot.
 type genState struct {
-	m  *frag.Mapping
-	v  *frag.Views
+	m   *frag.Mapping
+	v   *frag.Views
 	gen int64
 	fp  string
+	// types, assocs and tables are the generation's sorted view names,
+	// built once per committed generation for GET …/views.
+	types, assocs, tables []string
 	// stale marks that the latest requested evolve did not commit; the
 	// served generation is the last one that did.
 	stale       bool
 	staleReason string
+}
+
+// newGenState builds the serving snapshot of a committed generation.
+func newGenState(m *frag.Mapping, v *frag.Views, gen int64, fp string) genState {
+	st := genState{m: m, v: v, gen: gen, fp: fp}
+	if v != nil {
+		st.types = sortedKeys(v.Query)
+		st.assocs = sortedKeys(v.Assoc)
+		st.tables = sortedKeys(v.Update)
+	}
+	return st
 }
 
 // evolveReq is one admitted evolve waiting for the tenant worker.
@@ -112,6 +121,9 @@ func (s *Server) newTenant(name string, sess *pipeline.Session, b fault.Budget) 
 		drainCh: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
+	t.dataMu.Lock()
+	t.installDataLocked(nil, nil, nil, false)
+	t.dataMu.Unlock()
 	go t.worker()
 	return t
 }
@@ -119,8 +131,9 @@ func (s *Server) newTenant(name string, sess *pipeline.Session, b fault.Budget) 
 // setCommitted installs a serving snapshot (registration and restore; the
 // worker uses commit).
 func (t *tenant) setCommitted(m *frag.Mapping, v *frag.Views, gen int64, fp string) {
+	st := newGenState(m, v, gen, fp)
 	t.genMu.Lock()
-	t.gen = genState{m: m, v: v, gen: gen, fp: fp}
+	t.gen = st
 	t.genMu.Unlock()
 }
 
@@ -385,8 +398,10 @@ func (t *tenant) evolveOne(ctx context.Context, op core.SMO) (apiErr *apiError) 
 // and clears any staleness, then refreshes the persisted manifest.
 func (t *tenant) commit(m *frag.Mapping, v *frag.Views) {
 	fp, _ := store.Fingerprint(m)
+	st := newGenState(m, v, 0, fp)
 	t.genMu.Lock()
-	t.gen = genState{m: m, v: v, gen: t.gen.gen + 1, fp: fp}
+	st.gen = t.gen.gen + 1
+	t.gen = st
 	t.genMu.Unlock()
 	_ = t.srv.saveManifest()
 }

@@ -29,19 +29,38 @@ func (r Row) Clone() Row {
 // Canonical renders the row deterministically, for comparison and debug
 // output.
 func (r Row) Canonical() string {
-	keys := make([]string, 0, len(r))
+	// Size the buffer for the common case: strings exactly, other kinds
+	// at a typical number's width.
+	n := 0
+	for k, v := range r {
+		n += len(k) + 2
+		if v.K == cond.KindString {
+			n += len(v.Str()) + 2
+		} else {
+			n += 8
+		}
+	}
+	return string(r.AppendCanonical(make([]byte, 0, n)))
+}
+
+// AppendCanonical appends the row's Canonical rendering to dst: "k=v"
+// pairs in key order, comma-separated, each value in its String form.
+func (r Row) AppendCanonical(dst []byte) []byte {
+	var small [16]string
+	keys := small[:0]
 	for k := range r {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var b strings.Builder
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		fmt.Fprintf(&b, "%s=%s", k, r[k])
+		dst = append(dst, k...)
+		dst = append(dst, '=')
+		dst = r[k].AppendLiteral(dst)
 	}
-	return b.String()
+	return dst
 }
 
 // Entity is an instance of a concrete entity type.

@@ -1,6 +1,11 @@
 package state
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -15,6 +20,77 @@ func TestRowCanonicalDeterministic(t *testing.T) {
 	}
 	if got := r.Clone().Canonical(); got != want {
 		t.Errorf("clone changed canonical form: %q", got)
+	}
+}
+
+// fmtCanonical is Row.Canonical's reference rendering: the fmt-based
+// formatting the fast path must reproduce byte for byte.
+func fmtCanonical(r Row) string {
+	keys := make([]string, 0, len(r))
+	for k := range r {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s=%s", k, r[k])
+	}
+	return b.String()
+}
+
+// TestRowCanonicalMatchesFmt pins Canonical (and AppendCanonical onto a
+// non-empty prefix) to the fmt rendering on random rows covering every
+// value kind, NULL (an out-of-range kind), NaN, ±Inf, negative zero,
+// extreme integers and strings holding the separators.
+func TestRowCanonicalMatchesFmt(t *testing.T) {
+	specials := []cond.Value{
+		cond.Value{K: cond.Kind(-1)}, cond.Value{K: cond.Kind(99)},
+		cond.Float(math.NaN()), cond.Float(math.Inf(1)), cond.Float(math.Inf(-1)),
+		cond.Float(math.Copysign(0, -1)), cond.Float(0), cond.Float(1e21), cond.Float(1e-7), cond.Float(0.1),
+		cond.Int(math.MinInt64), cond.Int(math.MaxInt64), cond.Int(0), cond.Int(-1),
+		cond.Bool(true), cond.Bool(false),
+		cond.String(""), cond.String("a=b"), cond.String("x,y"), cond.String("it's"), cond.String("'"),
+		cond.String("k=v,k2='w'"), cond.String("ünï\x00"),
+	}
+	rng := rand.New(rand.NewSource(1))
+	value := func() cond.Value {
+		switch rng.Intn(6) {
+		case 0:
+			return specials[rng.Intn(len(specials))]
+		case 1:
+			return cond.Int(rng.Int63() - rng.Int63())
+		case 2:
+			return cond.Float(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20)))
+		case 3:
+			return cond.Bool(rng.Intn(2) == 0)
+		default:
+			b := make([]byte, rng.Intn(12))
+			for i := range b {
+				b[i] = "ab=,' \\x"[rng.Intn(8)]
+			}
+			return cond.String(string(b))
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		r := Row{}
+		for n := rng.Intn(24); n > 0; n-- {
+			r[fmt.Sprintf("c%d", rng.Intn(40))] = value()
+		}
+		want := fmtCanonical(r)
+		if got := r.Canonical(); got != want {
+			t.Fatalf("Canonical = %q, want %q", got, want)
+		}
+		if got := string(r.AppendCanonical([]byte("p|"))); got != "p|"+want {
+			t.Fatalf("AppendCanonical = %q, want %q", got, "p|"+want)
+		}
+	}
+	for _, v := range specials {
+		if got, want := (Row{"k": v}).Canonical(), fmtCanonical(Row{"k": v}); got != want {
+			t.Errorf("Canonical(%#v) = %q, want %q", v, got, want)
+		}
 	}
 }
 

@@ -27,11 +27,13 @@
 package xver
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"github.com/ormkit/incmap/internal/cond"
 	"github.com/ormkit/incmap/internal/cqt"
+	"github.com/ormkit/incmap/internal/exec"
 	"github.com/ormkit/incmap/internal/frag"
 	"github.com/ormkit/incmap/internal/orm"
 	"github.com/ormkit/incmap/internal/state"
@@ -423,8 +425,8 @@ func (p *Plan) ReadClient(ss *state.StoreState) (*state.ClientState, error) {
 // store layout: through the old update views (whose output the old client
 // contractually produces), then through the compiled layout transform.
 func (p *Plan) WriteClient(cs *state.ClientState) (*state.StoreState, error) {
-	ss, err := orm.Materialize(p.From.M, p.From.V, cs)
-	if err != nil {
+	ss := state.NewStoreState()
+	if err := orm.MaterializeStream(context.Background(), p.From.M, p.From.V, cs, exec.NewMapStore(ss), exec.Options{}); err != nil {
 		return nil, fmt.Errorf("xver: cross-write: %w", err)
 	}
 	out, lost, err := p.Transform(ss)
